@@ -35,10 +35,10 @@ use std::collections::BTreeMap;
 
 use qtenon_core::config::{CoreModel, QtenonConfig};
 use qtenon_core::vqa::VqaRunner;
+use qtenon_sim_engine::json::{self, Value};
 use qtenon_workloads::{Workload, WorkloadKind};
 
 use crate::experiments::OptimizerKind;
-use crate::json::{self, format_ns, JsonValue};
 
 /// Schema version stamped into every snapshot.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -114,34 +114,34 @@ impl BenchSnapshot {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         let schema = doc
             .get("schema")
-            .and_then(JsonValue::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("missing \"schema\"")?;
         if schema != SCHEMA_VERSION as f64 {
             return Err(format!("unsupported schema version {schema}"));
         }
         let name = doc
             .get("name")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or("missing \"name\"")?
             .to_string();
         let kind = doc
             .get("kind")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or("missing \"kind\"")?
             .to_string();
         let mut entries = BTreeMap::new();
         for (id, entry) in doc
             .get("entries")
-            .and_then(JsonValue::as_object)
+            .and_then(Value::as_object)
             .ok_or("missing \"entries\"")?
         {
             let median_ns = entry
                 .get("median_ns")
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("entry {id:?} missing \"median_ns\""))?;
             let mean_ns = entry
                 .get("mean_ns")
-                .and_then(JsonValue::as_f64)
+                .and_then(Value::as_f64)
                 .unwrap_or(median_ns);
             entries.insert(id.clone(), BenchEntry { median_ns, mean_ns });
         }
@@ -150,6 +150,17 @@ impl BenchSnapshot {
             kind,
             entries,
         })
+    }
+}
+
+/// Formats a non-negative nanosecond quantity for a snapshot file:
+/// integers stay integers, fractional values keep three decimals. The
+/// fixed rule makes re-distilled snapshots byte-stable.
+fn format_ns(value: f64) -> String {
+    if value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 {
+        format!("{}", value as i64)
+    } else {
+        format!("{value:.3}")
     }
 }
 
@@ -227,29 +238,23 @@ pub fn distill_metrics(text: &str, name: &str, prefix: &str) -> Result<BenchSnap
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     let metrics = doc
         .get("metrics")
-        .and_then(JsonValue::as_object)
+        .and_then(Value::as_object)
         .ok_or("missing \"metrics\" object")?;
     let mut snap = BenchSnapshot::new(name, "profile");
     for (path, value) in metrics {
         if !path.starts_with(prefix) {
             continue;
         }
-        match value.get("type").and_then(JsonValue::as_str) {
+        match value.get("type").and_then(Value::as_str) {
             Some("histogram") => {
-                let p50 = value.get("p50").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                let count = value
-                    .get("count")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0);
-                let sum = value.get("sum").and_then(JsonValue::as_f64).unwrap_or(0.0);
+                let p50 = value.get("p50").and_then(Value::as_f64).unwrap_or(0.0);
+                let count = value.get("count").and_then(Value::as_f64).unwrap_or(0.0);
+                let sum = value.get("sum").and_then(Value::as_f64).unwrap_or(0.0);
                 let mean = if count > 0.0 { sum / count } else { 0.0 };
                 snap.record(path, p50, mean);
             }
             Some("counter") | Some("gauge") => {
-                let v = value
-                    .get("value")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0);
+                let v = value.get("value").and_then(Value::as_f64).unwrap_or(0.0);
                 snap.record(path, v, v);
             }
             _ => return Err(format!("metric {path:?} has no recognised type")),
@@ -396,6 +401,14 @@ mod tests {
             s.record(id, *v, *v);
         }
         s
+    }
+
+    #[test]
+    fn format_ns_is_stable() {
+        assert_eq!(format_ns(1500.0), "1500");
+        assert_eq!(format_ns(0.0), "0");
+        assert_eq!(format_ns(1234.5), "1234.500");
+        assert_eq!(format_ns(0.03125), "0.031");
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //!
 //! The crate also carries the perf-trajectory tooling: [`distill`]
 //! produces and compares the stable `BENCH_<name>.json` snapshots
-//! (driven by the `qtenon-bench` binary), with [`json`] as its
-//! dependency-free JSON reader.
+//! (driven by the `qtenon-bench` binary), reading JSON with
+//! [`qtenon_sim_engine::json`].
 
 pub mod distill;
 pub mod experiments;
-pub mod json;
 pub mod table;
 
 pub use distill::{BenchSnapshot, CompareReport};

@@ -127,8 +127,7 @@ impl JobOutcome {
 }
 
 /// How one attempt of one job ended, before any retry policy is applied.
-/// [`run_attempt`] produces the first three variants; `Panicked` is
-/// added by [`run_attempt_caught`] when `catch_unwind` traps a panic.
+/// [`run_attempt`] returns `Panicked` when `catch_unwind` traps a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
     /// All requested iterations ran.
@@ -248,175 +247,147 @@ pub fn attempt_seed(job_seed: u64, attempt: u32) -> u64 {
     }
 }
 
-/// Runs one attempt of one job exactly as the fleet does — same config
-/// construction, same workload derivation, same optimizer — so in-fleet
-/// and standalone artefacts are byte-identical by construction.
-/// `threads` is the shot-shard count and never affects the artefacts.
+/// Runs one attempt of one job: the one entry point the scheduler's
+/// workers and [`run_standalone`] share. Same config construction, same
+/// workload derivation, same optimizer everywhere, so in-fleet and
+/// standalone artefacts are byte-identical by construction. `threads` is
+/// the shot-shard count and never affects the artefacts.
 ///
-/// This function may panic (that is the point of the chaos hook, and
-/// nothing stops library code from panicking); schedulers call
-/// [`run_attempt_caught`] instead.
-pub fn run_attempt(spec: &JobSpec, job_seed: u64, attempt: u32, threads: usize) -> AttemptOutcome {
-    run_attempt_cached(spec, job_seed, attempt, threads, None)
-}
-
-/// [`run_attempt`] with an optional fleet compilation cache. When a
-/// cache is supplied and the spec participates (`spec.cache`), the
-/// compile and pulse streams are served through it; a hit returns
-/// byte-identical artefacts to a cold compile (see
-/// `qtenon_compiler::cache`), so cached and uncached attempts are
-/// interchangeable. Per-run cache counters are *not* recorded into the
-/// job's [`RunReport`] — a shared cache makes them pool-width dependent.
-pub fn run_attempt_cached(
+/// With a `cache`, a spec that participates (`spec.cache`) compiles and
+/// generates pulses through it; a hit returns byte-identical artefacts to
+/// a cold compile (see `qtenon_compiler::cache`). Per-run cache counters
+/// are *not* recorded into the job's [`RunReport`]: a shared cache makes
+/// them pool-width dependent.
+///
+/// The attempt always runs under `catch_unwind`: a panicking job
+/// (deliberate or genuine) becomes [`AttemptOutcome::Panicked`] instead
+/// of unwinding into its caller, with the payload as text when it is a
+/// string (which `panic!` payloads are).
+pub fn run_attempt(
     spec: &JobSpec,
     job_seed: u64,
     attempt: u32,
     threads: usize,
     cache: Option<&Arc<CompilationCache>>,
 ) -> AttemptOutcome {
-    if spec.chaos_panic {
-        panic!(
-            "chaos: deliberate panic in job {:?} (attempt {attempt})",
-            spec.name
-        );
-    }
-    if attempt < spec.chaos_fail_attempts {
-        return AttemptOutcome::Errored {
-            error: JobError::Execution {
-                job: spec.name.clone(),
-                reason: format!("chaos: scripted transient failure on attempt {attempt}"),
-            },
-            permanent: false,
-        };
-    }
-    let seed = attempt_seed(job_seed, attempt);
-    let fail = |reason: String| JobError::Execution {
-        job: spec.name.clone(),
-        reason,
-    };
-    let permanent = |error: JobError| AttemptOutcome::Errored {
-        error,
-        permanent: true,
-    };
-    let config = match QtenonConfig::table4(spec.n_qubits, spec.core) {
-        Ok(c) => c,
-        Err(e) => return permanent(fail(e.to_string())),
-    };
-    let mut config = config
-        .with_sync(spec.sync)
-        .with_transmission(spec.transmission)
-        .with_seed(seed)
-        .with_threads(threads)
-        .with_fuse(spec.fuse);
-    if let Some(faults) = spec.faults {
-        config = config.with_faults(faults);
-    }
-    let workload = match Workload::benchmark(spec.kind, spec.n_qubits, seed) {
-        Ok(w) => w,
-        Err(e) => return permanent(fail(e.to_string())),
-    };
-    let built = match cache {
-        Some(shared) if spec.cache => VqaRunner::with_cache(config, workload, Arc::clone(shared)),
-        _ => VqaRunner::new(config, workload),
-    };
-    let mut runner = match built {
-        Ok(r) => r,
-        Err(e) => return permanent(fail(e.to_string())),
-    };
-    let mut optimizer = spec.optimizer.build(seed);
-    let (report, status) = match runner.run_with_deadline(
-        optimizer.as_mut(),
-        spec.iterations,
-        spec.shots,
-        spec.deadline,
-    ) {
-        Ok(done) => done,
-        Err(e) => {
-            // Execution failures are transient by classification: a
-            // retry reruns under a fresh seed (different fault
-            // draws), which is exactly the recovery the budget buys.
+    let contained = catch_unwind(AssertUnwindSafe(|| {
+        if spec.chaos_panic {
+            panic!(
+                "chaos: deliberate panic in job {:?} (attempt {attempt})",
+                spec.name
+            );
+        }
+        if attempt < spec.chaos_fail_attempts {
             return AttemptOutcome::Errored {
-                error: fail(e.to_string()),
+                error: JobError::Execution {
+                    job: spec.name.clone(),
+                    reason: format!("chaos: scripted transient failure on attempt {attempt}"),
+                },
                 permanent: false,
             };
         }
-    };
-    let mut m = MetricsRegistry::new();
-    runner.export_metrics(&mut m);
-    let shots_sampled = match m.get("core.parallel.shots_sampled") {
-        Some(MetricValue::Counter(c)) => *c,
-        _ => 0,
-    };
-    let artifacts = JobArtifacts {
-        report,
-        metrics_json: m.snapshot().to_json(),
-        shots_sampled,
-    };
-    if status.hit {
-        AttemptOutcome::TimedOut {
-            artifacts,
-            completed_iterations: status.completed_iterations,
-            requested_iterations: status.requested_iterations,
+        let seed = attempt_seed(job_seed, attempt);
+        let fail = |reason: String| JobError::Execution {
+            job: spec.name.clone(),
+            reason,
+        };
+        let permanent = |error: JobError| AttemptOutcome::Errored {
+            error,
+            permanent: true,
+        };
+        let config = match QtenonConfig::table4(spec.n_qubits, spec.core) {
+            Ok(c) => c,
+            Err(e) => return permanent(fail(e.to_string())),
+        };
+        let mut config = config
+            .with_sync(spec.sync)
+            .with_transmission(spec.transmission)
+            .with_seed(seed)
+            .with_threads(threads)
+            .with_fuse(spec.fuse);
+        if let Some(faults) = spec.faults {
+            config = config.with_faults(faults);
         }
-    } else {
-        AttemptOutcome::Completed(artifacts)
-    }
-}
-
-/// [`run_attempt`] under `catch_unwind`: a panicking job (deliberate or
-/// genuine) becomes [`AttemptOutcome::Panicked`] instead of unwinding
-/// into the worker pool. The payload is downcast to text when it is a
-/// string (which `panic!` payloads are).
-pub fn run_attempt_caught(
-    spec: &JobSpec,
-    job_seed: u64,
-    attempt: u32,
-    threads: usize,
-) -> AttemptOutcome {
-    run_attempt_caught_cached(spec, job_seed, attempt, threads, None)
-}
-
-/// [`run_attempt_caught`] with an optional fleet compilation cache —
-/// the variant the batch scheduler's workers call.
-pub fn run_attempt_caught_cached(
-    spec: &JobSpec,
-    job_seed: u64,
-    attempt: u32,
-    threads: usize,
-    cache: Option<&Arc<CompilationCache>>,
-) -> AttemptOutcome {
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_attempt_cached(spec, job_seed, attempt, threads, cache)
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            AttemptOutcome::Panicked { message }
+        let workload = match Workload::benchmark(spec.kind, spec.n_qubits, seed) {
+            Ok(w) => w,
+            Err(e) => return permanent(fail(e.to_string())),
+        };
+        let built = match cache {
+            Some(shared) if spec.cache => {
+                VqaRunner::with_cache(config, workload, Arc::clone(shared))
+            }
+            _ => VqaRunner::new(config, workload),
+        };
+        let mut runner = match built {
+            Ok(r) => r,
+            Err(e) => return permanent(fail(e.to_string())),
+        };
+        let mut optimizer = spec.optimizer.build(seed);
+        let (report, status) = match runner.run_with_deadline(
+            optimizer.as_mut(),
+            spec.iterations,
+            spec.shots,
+            spec.deadline,
+        ) {
+            Ok(done) => done,
+            Err(e) => {
+                // Execution failures are transient by classification: a
+                // retry reruns under a fresh seed (different fault
+                // draws), which is exactly the recovery the budget buys.
+                return AttemptOutcome::Errored {
+                    error: fail(e.to_string()),
+                    permanent: false,
+                };
+            }
+        };
+        let mut m = MetricsRegistry::new();
+        runner.export_metrics(&mut m);
+        let shots_sampled = match m.get("core.parallel.shots_sampled") {
+            Some(MetricValue::Counter(c)) => *c,
+            _ => 0,
+        };
+        let artifacts = JobArtifacts {
+            report,
+            metrics_json: m.snapshot().to_json(),
+            shots_sampled,
+        };
+        if status.hit {
+            AttemptOutcome::TimedOut {
+                artifacts,
+                completed_iterations: status.completed_iterations,
+                requested_iterations: status.requested_iterations,
+            }
+        } else {
+            AttemptOutcome::Completed(artifacts)
         }
-    }
+    }));
+    contained.unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        AttemptOutcome::Panicked { message }
+    })
 }
 
-/// Runs one job standalone (first attempt, no retry) and returns its
-/// artefacts — the byte-identity reference the fleet is checked against.
-/// A deadline-cut run still returns its partial artefacts.
+/// Runs one job standalone (first attempt, no retry, no cache) and
+/// returns its artefacts: the byte-identity reference the fleet is
+/// checked against. A deadline-cut run still returns its partial
+/// artefacts.
 ///
 /// # Errors
 ///
-/// Returns [`JobError::Execution`] wrapping the underlying failure.
+/// Returns the attempt's [`JobError`]; a panic becomes
+/// [`JobError::Execution`] with the panic message.
 pub fn run_standalone(spec: &JobSpec, seed: u64, threads: usize) -> Result<JobArtifacts, JobError> {
-    match run_attempt(spec, seed, 0, threads) {
+    match run_attempt(spec, seed, 0, threads, None) {
         AttemptOutcome::Completed(artifacts) | AttemptOutcome::TimedOut { artifacts, .. } => {
             Ok(artifacts)
         }
         AttemptOutcome::Errored { error, .. } => Err(error),
-        // Unreachable from run_attempt, which panics rather than
-        // reporting Panicked — kept total for completeness.
         AttemptOutcome::Panicked { message } => Err(JobError::Execution {
             job: spec.name.clone(),
             reason: format!("panicked: {message}"),

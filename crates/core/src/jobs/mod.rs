@@ -1,12 +1,18 @@
 //! Deterministic multi-job batch scheduling over one shared worker pool.
 //!
-//! PR 4's shot-sharded engine executes exactly one VQA job at a time;
-//! this module is the platform layer on top of it: N independent jobs —
-//! each with its own configuration, seed, and optional fault plan — are
+//! The shot-sharded engine executes exactly one VQA job at a time; this
+//! module is the platform layer on top of it: N independent jobs — each
+//! with its own configuration, seed, and optional fault plan — are
 //! admitted into a bounded queue (FIFO within a priority level, higher
 //! priorities first) and executed by a pool of job workers, each of
 //! which shot-shards its job across the pool's remaining threads
 //! ([`PoolPlan`] splits `threads` into `job_workers × shard_threads`).
+//!
+//! The module has three parts: `spec` ([`JobSpec`], and [`BatchSpec`]
+//! read from `qtenon batch --jobs` JSON), `attempt` ([`run_attempt`],
+//! the one way to run an attempt of a job, and the [`retry_decision`]
+//! policy), and `scheduler` ([`BatchScheduler`] and its
+//! [`BatchReport`]).
 //!
 //! # Determinism
 //!
@@ -17,8 +23,8 @@
 //!    spec, else [`stream_seed`]`(fleet_seed, submission_index)`. It
 //!    never depends on scheduling order or completion order.
 //! 2. Jobs share no mutable state: each runs in its own
-//!    [`VqaRunner`](crate::vqa::VqaRunner) via the same
-//!    [`run_standalone`] function the standalone path uses.
+//!    [`VqaRunner`](crate::vqa::VqaRunner) via [`run_attempt`], which
+//!    the standalone path ([`run_standalone`]) calls too.
 //! 3. Within a job, the shot-sharded engine is thread-count invariant,
 //!    so the pool's `shard_threads` choice never shows up in results.
 //! 4. Results are collected into canonical submission order regardless
@@ -30,8 +36,8 @@
 //!
 //! # Fault containment
 //!
-//! PR 8 adds the recovery layer: each attempt runs under
-//! `catch_unwind`, so a panicking job becomes a
+//! [`run_attempt`] always runs the attempt under `catch_unwind`, so a
+//! panicking job becomes a
 //! [`JobOutcome::Quarantined`] line in the ledger instead of killing the
 //! fleet; per-job sim-time deadlines cut the VQA loop at iteration
 //! boundaries into [`JobOutcome::TimedOut`] with partial-progress stats;
@@ -69,9 +75,8 @@ mod spec;
 mod tests;
 
 pub use attempt::{
-    attempt_seed, retry_decision, run_attempt, run_attempt_cached, run_attempt_caught,
-    run_attempt_caught_cached, run_standalone, AttemptOutcome, JobArtifacts, JobOutcome,
-    RetryDecision,
+    attempt_seed, retry_decision, run_attempt, run_standalone, AttemptOutcome, JobArtifacts,
+    JobOutcome, RetryDecision,
 };
 pub use scheduler::{BatchReport, BatchScheduler, JobResult, PoolPlan, DEFAULT_QUEUE_CAPACITY};
 pub use spec::{BatchSpec, JobOptimizer, JobSpec, DEFAULT_FLEET_SEED};

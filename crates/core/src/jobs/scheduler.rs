@@ -12,8 +12,7 @@ use qtenon_sim_engine::{stream_seed, Histogram, MetricsRegistry};
 use qtenon_workloads::Workload;
 
 use super::{
-    attempt_seed, retry_decision, run_attempt_caught_cached, JobError, JobId, JobOutcome, JobSpec,
-    RetryDecision,
+    attempt_seed, retry_decision, run_attempt, JobError, JobId, JobOutcome, JobSpec, RetryDecision,
 };
 
 /// Default bounded-queue capacity.
@@ -407,8 +406,8 @@ impl BatchScheduler {
     /// retries whose admission-order backoff has elapsed — so higher
     /// priorities start first but nothing about the results depends on
     /// who finishes when. Every attempt runs under `catch_unwind`
-    /// ([`run_attempt_caught`](super::run_attempt_caught)) and is fed through [`retry_decision`]:
-    /// a panicking or failing job becomes a typed [`JobOutcome`] in its
+    /// ([`run_attempt`]) and is fed through [`retry_decision`]: a
+    /// panicking or failing job becomes a typed [`JobOutcome`] in its
     /// slot while the rest of the fleet keeps going.
     ///
     /// Backoff is counted in *dispatch slots* (jobs handed to workers),
@@ -532,7 +531,7 @@ impl BatchScheduler {
                             };
                             let job = &queue[id];
                             let wait = started.elapsed();
-                            let outcome = run_attempt_caught_cached(
+                            let outcome = run_attempt(
                                 &job.spec,
                                 job.seed,
                                 attempt,
@@ -582,7 +581,7 @@ impl BatchScheduler {
             handles
                 .into_iter()
                 .map(|h| match h.join() {
-                    // Job panics are contained by `run_attempt_caught`;
+                    // Job panics are contained by `run_attempt`;
                     // a worker can only die from a bug in the scheduler
                     // itself, which is rightly fatal.
                     Ok(v) => v,

@@ -1,6 +1,7 @@
 //! Job and batch specs: the builder API and the `qtenon batch --jobs`
 //! JSON format.
 
+use qtenon_sim_engine::json::{self, Value};
 use qtenon_sim_engine::{stream_seed, FaultPlan, SimDuration};
 use qtenon_workloads::{GradientDescentOptimizer, Optimizer, SpsaOptimizer, WorkloadKind};
 
@@ -276,35 +277,15 @@ impl BatchSpec {
     ///
     /// Returns [`JobError::Spec`] for malformed JSON or bad fields.
     pub fn from_json(text: &str) -> Result<Self, JobError> {
-        let root = json::parse(text).map_err(|reason| JobError::Spec { reason })?;
-        let fleet_seed = match root.get("fleet_seed") {
-            Some(v) => field_u64(v, "fleet_seed")?,
-            None => DEFAULT_FLEET_SEED,
-        };
-        let capacity = match root.get("capacity") {
-            Some(v) => field_u64(v, "capacity")? as usize,
-            None => DEFAULT_QUEUE_CAPACITY,
-        };
-        let retries = match root.get("retries") {
-            Some(v) => u32::try_from(field_u64(v, "retries")?)
-                .map_err(|_| spec_err("\"retries\" exceeds u32".to_string()))?,
-            None => 0,
-        };
-        let deadline = match root.get("deadline_ns") {
-            Some(v) => Some(SimDuration::from_ns(field_u64(v, "deadline_ns")?)),
-            None => None,
-        };
-        let cache = match root.get("cache") {
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| spec_err("\"cache\" must be a boolean".to_string()))?,
-            None => true,
-        };
-        let cache_capacity = match root.get("cache_capacity") {
-            Some(v) => (field_u64(v, "cache_capacity")? as usize).max(1),
-            None => qtenon_compiler::cache::DEFAULT_CAPACITY,
-        };
-        for (key, _) in root.entries().unwrap_or(&[]) {
+        let root = json::parse(text).map_err(|e| spec_err(e.to_string()))?;
+        let fleet_seed = optional(&root, "fleet_seed", field_u64)?.unwrap_or(DEFAULT_FLEET_SEED);
+        let capacity = optional(&root, "capacity", narrow)?.unwrap_or(DEFAULT_QUEUE_CAPACITY);
+        let retries = optional(&root, "retries", narrow)?.unwrap_or(0);
+        let deadline = optional(&root, "deadline_ns", field_u64)?.map(SimDuration::from_ns);
+        let cache = optional(&root, "cache", field_bool)?.unwrap_or(true);
+        let cache_capacity = optional::<usize>(&root, "cache_capacity", narrow)?
+            .map_or(qtenon_compiler::cache::DEFAULT_CAPACITY, |c| c.max(1));
+        for (key, _) in root.as_object().unwrap_or(&[]) {
             if !matches!(
                 key.as_str(),
                 "fleet_seed"
@@ -315,21 +296,33 @@ impl BatchSpec {
                     | "cache"
                     | "cache_capacity"
             ) {
-                return Err(JobError::Spec {
-                    reason: format!("unknown top-level key {key:?}"),
-                });
+                return Err(spec_err(format!("unknown top-level key {key:?}")));
             }
         }
-        let jobs_value = root.get("jobs").ok_or_else(|| JobError::Spec {
-            reason: "missing \"jobs\" array".to_string(),
-        })?;
-        let entries = jobs_value.as_arr().ok_or_else(|| JobError::Spec {
-            reason: "\"jobs\" is not an array".to_string(),
-        })?;
-        let defaults = JobDefaults { retries, deadline };
+        let entries = root
+            .get("jobs")
+            .ok_or_else(|| spec_err("missing \"jobs\" array".to_string()))?
+            .as_array()
+            .ok_or_else(|| spec_err("\"jobs\" is not an array".to_string()))?;
         let mut jobs = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            jobs.push(parse_job(entry, i, fleet_seed, defaults)?);
+        for (index, entry) in entries.iter().enumerate() {
+            let pairs = entry
+                .as_object()
+                .ok_or_else(|| spec_err(format!("jobs[{index}] is not an object")))?;
+            let mut spec = JobSpec::new(&format!("job{index}"), WorkloadKind::Qaoa, 8);
+            spec.retry_budget = retries;
+            spec.deadline = deadline;
+            for (key, value) in pairs {
+                set_job_field(&mut spec, (value, key.as_str()))
+                    .map_err(|reason| spec_err(format!("jobs[{index}]: {reason}")))?;
+            }
+            // Materialise the seed by file position so later filtering or
+            // reordering cannot change what this job runs with.
+            spec.seed = Some(
+                spec.seed
+                    .unwrap_or_else(|| stream_seed(fleet_seed, index as u64)),
+            );
+            jobs.push(spec);
         }
         Ok(BatchSpec {
             fleet_seed,
@@ -363,403 +356,118 @@ fn spec_err(reason: String) -> JobError {
     JobError::Spec { reason }
 }
 
-/// Fleet-level containment defaults a job inherits unless it sets its
-/// own `retries` / `deadline_ns`.
-#[derive(Clone, Copy)]
-struct JobDefaults {
-    retries: u32,
-    deadline: Option<SimDuration>,
+/// A field value with its key, for error messages.
+type Field<'a> = (&'a Value, &'a str);
+
+/// A top-level field, when present.
+fn optional<T>(
+    root: &Value,
+    key: &'static str,
+    read: fn(Field) -> Result<T, String>,
+) -> Result<Option<T>, JobError> {
+    root.get(key)
+        .map(|v| read((v, key)))
+        .transpose()
+        .map_err(spec_err)
 }
 
-fn field_u64(v: &json::Value, key: &str) -> Result<u64, JobError> {
+/// An exact `u64` field: integer literals up to `u64::MAX` are taken as
+/// written, never rounded through `f64`.
+fn field_u64((v, key): Field) -> Result<u64, String> {
     v.as_u64()
-        .ok_or_else(|| spec_err(format!("{key:?} must be a non-negative integer")))
+        .ok_or_else(|| format!("{key:?} must be an integer in 0..={}", u64::MAX))
 }
 
-fn field_str<'a>(v: &'a json::Value, key: &str) -> Result<&'a str, JobError> {
+/// A `u64` field that must also fit `T`.
+fn narrow<T: TryFrom<u64>>(field: Field) -> Result<T, String> {
+    let n = field_u64(field)?;
+    T::try_from(n).map_err(|_| format!("{:?} = {n} is out of range", field.1))
+}
+
+fn field_bool((v, key): Field) -> Result<bool, String> {
+    v.as_bool()
+        .ok_or_else(|| format!("{key:?} must be a boolean"))
+}
+
+fn field_str<'a>((v, key): Field<'a>) -> Result<&'a str, String> {
     v.as_str()
-        .ok_or_else(|| spec_err(format!("{key:?} must be a string")))
+        .ok_or_else(|| format!("{key:?} must be a string"))
 }
 
-fn parse_job(
-    entry: &json::Value,
-    index: usize,
-    fleet_seed: u64,
-    defaults: JobDefaults,
-) -> Result<JobSpec, JobError> {
-    let pairs = entry
-        .entries()
-        .ok_or_else(|| spec_err(format!("jobs[{index}] is not an object")))?;
-    let mut spec = JobSpec::new(&format!("job{index}"), WorkloadKind::Qaoa, 8);
-    spec.retry_budget = defaults.retries;
-    spec.deadline = defaults.deadline;
-    for (key, value) in pairs {
-        match key.as_str() {
-            "name" => spec.name = field_str(value, key)?.to_string(),
-            "workload" => {
-                spec.kind = match field_str(value, key)?.to_ascii_lowercase().as_str() {
-                    "qaoa" => WorkloadKind::Qaoa,
-                    "vqe" => WorkloadKind::Vqe,
-                    "qnn" => WorkloadKind::Qnn,
-                    other => {
-                        return Err(spec_err(format!(
-                            "jobs[{index}]: unknown workload {other:?} (want qaoa|vqe|qnn)"
-                        )))
-                    }
-                }
-            }
-            "qubits" => spec.n_qubits = field_u64(value, key)? as u32,
-            "core" => {
-                spec.core = match field_str(value, key)?.to_ascii_lowercase().as_str() {
-                    "rocket" => CoreModel::Rocket,
-                    "boom" => CoreModel::BoomLarge,
-                    other => {
-                        return Err(spec_err(format!(
-                            "jobs[{index}]: unknown core {other:?} (want rocket|boom)"
-                        )))
-                    }
-                }
-            }
-            "optimizer" => {
-                spec.optimizer = match field_str(value, key)?.to_ascii_lowercase().as_str() {
-                    "spsa" => JobOptimizer::Spsa,
-                    "gd" => JobOptimizer::Gd,
-                    other => {
-                        return Err(spec_err(format!(
-                            "jobs[{index}]: unknown optimizer {other:?} (want spsa|gd)"
-                        )))
-                    }
-                }
-            }
-            "iterations" => spec.iterations = field_u64(value, key)? as usize,
-            "shots" => spec.shots = field_u64(value, key)?,
-            "priority" => {
-                let p = field_u64(value, key)?;
-                spec.priority = u8::try_from(p)
-                    .map_err(|_| spec_err(format!("jobs[{index}]: priority {p} exceeds 255")))?;
-            }
-            "seed" => spec.seed = Some(field_u64(value, key)?),
-            "sync" => {
-                spec.sync = match field_str(value, key)?.to_ascii_lowercase().as_str() {
-                    "fence" => SyncMode::Fence,
-                    "fine" => SyncMode::FineGrained,
-                    other => {
-                        return Err(spec_err(format!(
-                            "jobs[{index}]: unknown sync {other:?} (want fence|fine)"
-                        )))
-                    }
-                }
-            }
-            "transmission" => {
-                spec.transmission = match field_str(value, key)?.to_ascii_lowercase().as_str() {
-                    "immediate" => TransmissionPolicy::Immediate,
-                    "batched" => TransmissionPolicy::Batched,
-                    other => {
-                        return Err(spec_err(format!(
-                            "jobs[{index}]: unknown transmission {other:?} (want immediate|batched)"
-                        )))
-                    }
-                }
-            }
-            "faults" => {
-                spec.faults = Some(
-                    FaultPlan::parse(field_str(value, key)?)
-                        .map_err(|e| spec_err(format!("jobs[{index}]: bad fault spec: {e}")))?,
-                )
-            }
-            "retries" => {
-                let r = field_u64(value, key)?;
-                spec.retry_budget = u32::try_from(r)
-                    .map_err(|_| spec_err(format!("jobs[{index}]: retries {r} exceeds u32")))?;
-            }
-            "deadline_ns" => {
-                spec.deadline = Some(SimDuration::from_ns(field_u64(value, key)?));
-            }
-            "chaos_panic" => {
-                spec.chaos_panic = value.as_bool().ok_or_else(|| {
-                    spec_err(format!("jobs[{index}]: \"chaos_panic\" must be a boolean"))
-                })?;
-            }
-            "chaos_fail_attempts" => {
-                let r = field_u64(value, key)?;
-                spec.chaos_fail_attempts = u32::try_from(r).map_err(|_| {
-                    spec_err(format!(
-                        "jobs[{index}]: chaos_fail_attempts {r} exceeds u32"
-                    ))
-                })?;
-            }
-            "fuse" => {
-                spec.fuse = value.as_bool().ok_or_else(|| {
-                    spec_err(format!("jobs[{index}]: \"fuse\" must be a boolean"))
-                })?;
-            }
-            "cache" => {
-                spec.cache = value.as_bool().ok_or_else(|| {
-                    spec_err(format!("jobs[{index}]: \"cache\" must be a boolean"))
-                })?;
-            }
-            other => {
-                return Err(spec_err(format!("jobs[{index}]: unknown key {other:?}")));
-            }
-        }
+/// A case-insensitive choice among named values.
+fn field_choice<T: Copy>(field: Field, choices: &[(&str, T)]) -> Result<T, String> {
+    let name = field_str(field)?.to_ascii_lowercase();
+    if let Some(&(_, value)) = choices.iter().find(|(n, _)| *n == name) {
+        return Ok(value);
     }
-    // Materialise the seed by file position so later filtering or
-    // reordering cannot change what this job runs with.
-    spec.seed = Some(
-        spec.seed
-            .unwrap_or_else(|| stream_seed(fleet_seed, index as u64)),
-    );
-    Ok(spec)
+    let names: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+    Err(format!(
+        "unknown {} {name:?} (want {})",
+        field.1,
+        names.join("|")
+    ))
 }
 
-/// A minimal recursive-descent JSON reader, just enough for batch spec
-/// files (the workspace has no external dependencies — all JSON output
-/// is hand-written too, see `MetricsSnapshot::to_json`).
-/// Supports objects, arrays, strings with simple escapes, numbers,
-/// booleans, and null.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
+/// Applies one `jobs[i]` key to the spec.
+fn set_job_field(spec: &mut JobSpec, field: Field) -> Result<(), String> {
+    match field.1 {
+        "name" => spec.name = field_str(field)?.to_string(),
+        "workload" => {
+            spec.kind = field_choice(
+                field,
+                &[
+                    ("qaoa", WorkloadKind::Qaoa),
+                    ("vqe", WorkloadKind::Vqe),
+                    ("qnn", WorkloadKind::Qnn),
+                ],
+            )?
+        }
+        "qubits" => spec.n_qubits = narrow(field)?,
+        "core" => {
+            spec.core = field_choice(
+                field,
+                &[
+                    ("rocket", CoreModel::Rocket),
+                    ("boom", CoreModel::BoomLarge),
+                ],
+            )?
+        }
+        "optimizer" => {
+            spec.optimizer = field_choice(
+                field,
+                &[("spsa", JobOptimizer::Spsa), ("gd", JobOptimizer::Gd)],
+            )?
+        }
+        "iterations" => spec.iterations = narrow(field)?,
+        "shots" => spec.shots = field_u64(field)?,
+        "priority" => spec.priority = narrow(field)?,
+        "seed" => spec.seed = Some(field_u64(field)?),
+        "sync" => {
+            spec.sync = field_choice(
+                field,
+                &[("fence", SyncMode::Fence), ("fine", SyncMode::FineGrained)],
+            )?
+        }
+        "transmission" => {
+            spec.transmission = field_choice(
+                field,
+                &[
+                    ("immediate", TransmissionPolicy::Immediate),
+                    ("batched", TransmissionPolicy::Batched),
+                ],
+            )?
+        }
+        "faults" => {
+            let plan = FaultPlan::parse(field_str(field)?);
+            spec.faults = Some(plan.map_err(|e| format!("bad fault spec: {e}"))?);
+        }
+        "retries" => spec.retry_budget = narrow(field)?,
+        "deadline_ns" => spec.deadline = Some(SimDuration::from_ns(field_u64(field)?)),
+        "chaos_panic" => spec.chaos_panic = field_bool(field)?,
+        "chaos_fail_attempts" => spec.chaos_fail_attempts = narrow(field)?,
+        "fuse" => spec.fuse = field_bool(field)?,
+        "cache" => spec.cache = field_bool(field)?,
+        other => return Err(format!("unknown key {other:?}")),
     }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The object's key/value pairs, in file order.
-        pub fn entries(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-
-        /// The array's items.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// String payload.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Boolean payload.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// Non-negative integer payload (rejects fractions).
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            // The slice is pure ASCII by construction.
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| format!("bad number at byte {start}"))?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number {text:?}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out: Vec<u8> = Vec::new();
-            loop {
-                let b = self
-                    .peek()
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.pos += 1;
-                match b {
-                    b'"' => {
-                        return String::from_utf8(out)
-                            .map_err(|_| "invalid utf-8 in string".to_string())
-                    }
-                    b'\\' => {
-                        let esc = self
-                            .peek()
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.pos += 1;
-                        out.push(match esc {
-                            b'"' => b'"',
-                            b'\\' => b'\\',
-                            b'/' => b'/',
-                            b'n' => b'\n',
-                            b't' => b'\t',
-                            b'r' => b'\r',
-                            other => return Err(format!("unsupported escape \\{}", other as char)),
-                        });
-                    }
-                    other => out.push(other),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut pairs = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(pairs));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.value()?;
-                pairs.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_reader_handles_the_basics() {
-        let v = json::parse(r#"{"s": "a\"b", "n": 12, "neg": -3, "arr": [true, false, null]}"#)
-            .unwrap();
-        assert_eq!(v.get("s").and_then(|s| s.as_str()), Some("a\"b"));
-        assert_eq!(v.get("n").and_then(|n| n.as_u64()), Some(12));
-        assert_eq!(v.get("neg").and_then(|n| n.as_u64()), None);
-        assert_eq!(
-            v.get("arr").and_then(|a| a.as_arr()).map(|a| a.len()),
-            Some(3)
-        );
-        assert!(json::parse("[1, 2,]").is_err(), "trailing comma rejected");
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("1 2").is_err());
-    }
+    Ok(())
 }

@@ -316,6 +316,20 @@ fn attempt_seed_is_admission_seed_first_then_streamed() {
 }
 
 #[test]
+fn every_attempt_contains_panics() {
+    let poison = JobSpec::new("poison", WorkloadKind::Vqe, 8).with_chaos_panic();
+    match run_attempt(&poison, 1, 0, 1, None) {
+        AttemptOutcome::Panicked { message } => assert!(message.contains("poison"), "{message}"),
+        other => panic!("expected a contained panic, got {other:?}"),
+    }
+    // The standalone reference path reports it as a typed error.
+    match run_standalone(&poison, 1, 1) {
+        Err(JobError::Execution { reason, .. }) => assert!(reason.starts_with("panicked: ")),
+        other => panic!("expected an execution error, got {other:?}"),
+    }
+}
+
+#[test]
 fn ledger_is_deterministic_across_pool_widths() {
     let fleet = || {
         let mut sched = BatchScheduler::new(7);

@@ -12,7 +12,7 @@
 
 use std::borrow::Cow;
 
-use qtenon_sim_engine::metrics::json_escape;
+use qtenon_sim_engine::json;
 use qtenon_sim_engine::{SimDuration, SimTime};
 
 /// The component lane an event belongs to (the "thread" in trace
@@ -345,7 +345,7 @@ impl Trace {
             if i > 0 {
                 out.push(',');
             }
-            let name = json_escape(&e.name);
+            let name = json::escape(&e.name);
             let tid = e.lane.tid();
             let ts = e.start.elapsed().as_us();
             match e.kind {

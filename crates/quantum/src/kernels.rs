@@ -243,7 +243,7 @@ fn apply_general(amps: &mut [C64], q: u32, m: &Mat2) {
 
 /// Applies a fused run of same-qubit kernels in **one** memory sweep:
 /// each amplitude pair is loaded once, chased through every kernel of the
-/// run with [`Kernel1Q::apply_pair`], and stored once. Because pairs are
+/// run with the kernel's own pair update, and stored once. Because pairs are
 /// independent and the per-pair arithmetic is shared with the single-gate
 /// sweeps, the result is bitwise identical to applying the kernels one
 /// full sweep at a time — fusion only removes memory traffic.

@@ -27,6 +27,7 @@
 //! - [`faults`]: deterministic, seeded fault injection ([`FaultPlan`] /
 //!   [`FaultInjector`]) used by the component models to exercise their
 //!   retry/degradation paths reproducibly;
+//! - [`json`]: the workspace's one JSON reader and string escaper;
 //! - [`rng`]: the engine's splittable SplitMix64 generator, the
 //!   [`stream_seed`] derivation that gives every shot (and every fault
 //!   site) an independent, thread-count-invariant random stream, and the
@@ -51,6 +52,7 @@ pub mod clock;
 pub mod critpath;
 pub mod event;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod opcount;
 pub mod profile;

@@ -383,7 +383,7 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&json_escape(path));
+            out.push_str(&crate::json::escape(path));
             out.push_str("\":");
             match value {
                 MetricValue::Counter(v) => {
@@ -488,26 +488,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-/// Escapes a string for inclusion inside a JSON string literal:
-/// backslashes, double quotes, and all control characters below 0x20.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Formats a float as a JSON-safe token (`0` for non-finite values).
@@ -836,15 +816,6 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains("a"));
         assert!(text.contains("b.c"));
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use qtenon_bench::experiments::{telemetry_snapshot, telemetry_snapshot_exact, ExperimentScale};
-use qtenon_sim_engine::{MetricValue, MetricsSnapshot};
+use qtenon_sim_engine::{json, MetricValue, MetricsSnapshot};
 
 /// A fixed tiny scale so golden bytes are stable and cheap to produce.
 fn golden_scale() -> ExperimentScale {
@@ -43,10 +43,36 @@ fn check_golden(name: &str, actual: &str) {
         return;
     }
     let expected = std::fs::read_to_string(&path).expect("read golden");
-    assert_eq!(
-        expected, actual,
-        "golden {name} is stale; regenerate with UPDATE_GOLDEN=1 after verifying the change"
+    assert!(
+        expected == actual,
+        "golden {name} is stale ({}); regenerate with UPDATE_GOLDEN=1 after verifying the change",
+        differences(&expected, actual)
     );
+}
+
+/// Names what differs between two goldens: the metric paths of two
+/// metrics dumps, else the first differing line.
+fn differences(expected: &str, actual: &str) -> String {
+    let metrics = |text: &str| {
+        let doc = json::parse(text).ok()?;
+        Some(doc.get("metrics")?.as_object()?.to_vec())
+    };
+    if let (Some(old), Some(new)) = (metrics(expected), metrics(actual)) {
+        let value = |tree: &[(String, json::Value)], key: &str| {
+            tree.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        };
+        let mut keys: Vec<&str> = old.iter().chain(&new).map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.retain(|k| value(&old, k) != value(&new, k));
+        return format!("metrics differ at {}", keys.join(", "));
+    }
+    let line = expected
+        .lines()
+        .zip(actual.lines())
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| expected.lines().count().min(actual.lines().count()));
+    format!("first difference at line {}", line + 1)
 }
 
 #[test]
