@@ -25,8 +25,8 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The committed JSON inputs: batch specs and BENCH snapshots, plus the
-/// fault specs they carry.
+/// The committed JSON inputs (batch specs and BENCH snapshots), one
+/// document with the rest of the JSON grammar, and fault specs.
 fn corpus() -> Vec<String> {
     let mut files: Vec<PathBuf> = Vec::new();
     for (dir, prefix) in [(root().join("examples"), ""), (root(), "BENCH_")] {
@@ -44,6 +44,12 @@ fn corpus() -> Vec<String> {
         .iter()
         .map(|p| std::fs::read_to_string(p).expect("read corpus file"))
         .collect();
+    // Grammar the committed files never use: every escape, exponents,
+    // signs, literals and empty containers.
+    texts.push(
+        r#"{"s": "q\"b\\s\/\b\f\n\r\t\u00e9\u0041", "n": [-0.5e-3, 1E+2, 0, true, false, null, [], {}]}"#
+            .to_string(),
+    );
     texts.extend(
         ["all=0.02,max_attempts=8", "bus_drop=0.1\nseed=7", "all=0"]
             .iter()
@@ -64,7 +70,7 @@ fn mutate(rng: &mut StdRng, seed: &[u8]) -> Vec<u8> {
     let mut bytes = seed.to_vec();
     for _ in 0..draw_u64(rng, 1..=8) {
         let at = draw_u64(rng, 0..=bytes.len() as u64) as usize;
-        match rng.next_u32() % 5 {
+        match rng.next_u32() % 6 {
             0 if at < bytes.len() => bytes[at] = rng.next_u32() as u8,
             1 => bytes.insert(at, rng.next_u32() as u8),
             2 => {
@@ -76,6 +82,7 @@ fn mutate(rng: &mut StdRng, seed: &[u8]) -> Vec<u8> {
                 let copy = bytes[at..end].to_vec();
                 bytes.splice(at..at, copy);
             }
+            4 => bytes.truncate(at),
             _ => {
                 let token = TOKENS[rng.next_u32() as usize % TOKENS.len()];
                 bytes.splice(at..at, token.bytes());
@@ -85,31 +92,44 @@ fn mutate(rng: &mut StdRng, seed: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// Every parser returns on `input`: a panic fails the calling test.
+fn parse_everything(input: &str) {
+    if let Err(e) = json::parse(input) {
+        assert!(e.offset <= input.len(), "{e} past the end");
+    }
+    if let Err(e) = BatchSpec::from_json(input) {
+        assert!(matches!(e, JobError::Spec { .. }), "{e:?}");
+    }
+    let _ = BenchSnapshot::from_json(input);
+    let _ = FaultPlan::parse(input);
+    // Any string survives escape-then-parse unchanged.
+    let quoted = format!("\"{}\"", json::escape(input));
+    assert_eq!(
+        json::parse(&quoted).map(|v| v.as_str().map(str::to_owned)),
+        Ok(Some(input.to_owned()))
+    );
+}
+
 #[test]
 fn parsers_return_ok_or_typed_errors_on_mutated_inputs() {
     let corpus = corpus();
-    // The unmutated files parse.
+    // The unmutated JSON seeds parse.
     for text in &corpus[..corpus.len() - 3] {
         json::parse(text).expect("committed JSON parses");
     }
     check(4000, 0x5EED_F022, |rng| {
         let seed = &corpus[rng.next_u32() as usize % corpus.len()];
-        let input = String::from_utf8_lossy(&mutate(rng, seed.as_bytes())).into_owned();
-        if let Err(e) = json::parse(&input) {
-            assert!(e.offset <= input.len(), "{e} past the end");
-        }
-        if let Err(e) = BatchSpec::from_json(&input) {
-            assert!(matches!(e, JobError::Spec { .. }), "{e:?}");
-        }
-        let _ = BenchSnapshot::from_json(&input);
-        let _ = FaultPlan::parse(&input);
-        // Any string survives escape-then-parse unchanged.
-        let quoted = format!("\"{}\"", json::escape(&input));
-        assert_eq!(
-            json::parse(&quoted).map(|v| v.as_str().map(str::to_owned)),
-            Ok(Some(input))
-        );
+        parse_everything(&String::from_utf8_lossy(&mutate(rng, seed.as_bytes())));
     });
+}
+
+#[test]
+fn parsers_return_on_every_prefix_of_the_corpus() {
+    for text in corpus() {
+        for end in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            parse_everything(&text[..end]);
+        }
+    }
 }
 
 #[test]
