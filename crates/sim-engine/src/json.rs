@@ -218,12 +218,6 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_digits(&mut self) {
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-    }
-
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
@@ -334,9 +328,8 @@ impl Parser<'_> {
                     while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                         self.pos += 1;
                     }
-                    // The input is a &str and the span stops only at
-                    // ASCII bytes, so it is valid UTF-8.
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    let span = std::str::from_utf8(&self.bytes[start..self.pos]);
+                    out.push_str(span.expect("a &str cut at ASCII bytes is UTF-8"));
                 }
             }
         }
@@ -344,44 +337,39 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, Error> {
         let digits = self.bytes.get(self.pos..self.pos + 4).unwrap_or_default();
-        if digits.len() != 4 || !digits.iter().all(u8::is_ascii_hexdigit) {
-            return Err(self.err("expected 4 hex digits"));
+        let code = digits
+            .iter()
+            .try_fold(0, |code, &c| Some(code * 16 + (c as char).to_digit(16)?));
+        match code {
+            Some(code) if digits.len() == 4 => {
+                self.pos += 4;
+                Ok(code)
+            }
+            _ => Err(self.err("expected 4 hex digits")),
         }
-        self.pos += 4;
-        // Four ASCII hex digits: both conversions succeed.
-        Ok(u32::from_str_radix(std::str::from_utf8(digits).unwrap(), 16).unwrap())
     }
 
+    /// A number token, checked by Rust's own number parsers: a plain
+    /// digit string that fits a `u64` is exact, anything else an `f64`.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
             self.pos += 1;
         }
-        self.skip_digits();
-        let integer = self.pos;
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            self.skip_digits();
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.skip_digits();
-        }
-        // The span is ASCII by construction.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if integer == self.pos && self.bytes[start] != b'-' {
-            if let Ok(n) = text.parse::<u64>() {
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number spans are ASCII");
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse() {
                 return Ok(Value::Uint(n));
             }
         }
-        let at = Error {
+        text.parse().map(Value::Float).map_err(|_| Error {
             offset: start,
             message: "invalid number",
-        };
-        text.parse::<f64>().map(Value::Float).map_err(|_| at)
+        })
     }
 }
 
