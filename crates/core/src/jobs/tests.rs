@@ -702,3 +702,22 @@ fn batch_spec_capacity_bounds_into_scheduler() {
     let err = spec.into_scheduler().unwrap_err();
     assert_eq!(err, JobError::QueueFull { capacity: 1 });
 }
+
+#[test]
+fn json_reader_handles_the_basics() {
+    // Batch specs are read with the engine's JSON reader; pin the cases
+    // the spec format leans on.
+    use qtenon_sim_engine::json;
+    let v =
+        json::parse(r#"{"s": "a\"b", "n": 12, "neg": -3, "arr": [true, false, null]}"#).unwrap();
+    assert_eq!(v.get("s").and_then(|s| s.as_str()), Some("a\"b"));
+    assert_eq!(v.get("n").and_then(|n| n.as_u64()), Some(12));
+    assert_eq!(v.get("neg").and_then(|n| n.as_u64()), None);
+    assert_eq!(
+        v.get("arr").and_then(|a| a.as_array()).map(|a| a.len()),
+        Some(3)
+    );
+    assert!(json::parse("[1, 2,]").is_err(), "trailing comma rejected");
+    assert!(json::parse("{\"a\": }").is_err());
+    assert!(json::parse("1 2").is_err());
+}

@@ -819,6 +819,27 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_handles_specials() {
+        let paths = ["plain", "a\"b", "a\\b", "a\nb\tc", "\u{1}"];
+        let mut m = MetricsRegistry::new();
+        for p in paths {
+            m.counter(p, 1);
+        }
+        let json = m.snapshot().to_json();
+        assert!(json.contains("\"a\\\"b\""), "{json}");
+        assert!(json.contains("\"a\\\\b\""), "{json}");
+        assert!(json.contains("\"a\\nb\\tc\""), "{json}");
+        assert!(json.contains("\"\\u0001\""), "{json}");
+        let root = crate::json::parse(&json).unwrap();
+        let metrics = root.get("metrics").and_then(|m| m.as_object()).unwrap();
+        let mut keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+        let mut want = paths.to_vec();
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want);
+    }
+
+    #[test]
     fn prometheus_name_sanitises() {
         assert_eq!(prometheus_name("mem.l1.hits"), "mem_l1_hits");
         assert_eq!(prometheus_name("a-b c"), "a_b_c");
